@@ -18,7 +18,9 @@
 //!
 //! * **Keyword pruning** (Theorem 2): a branch dies when even the top
 //!   `p − |S_I|` remaining VKC values cannot lift the coverage to the
-//!   current N-th best.
+//!   current N-th best. A child whose bound only ties the N-th best dies
+//!   too when its smallest possible member list cannot beat the N-th's
+//!   on canonical order (canonical-tie pruning, DESIGN.md §12).
 //! * **k-line filtering** (Theorem 3): after selecting `v`, every
 //!   remaining candidate within `k` hops of `v` is removed. When disabled,
 //!   feasibility is enforced lazily by pairwise checks at selection time
@@ -57,7 +59,7 @@ use crate::group::Group;
 use crate::network::AttributedGraph;
 use crate::query::KtgQuery;
 use crate::stats::SearchStats;
-use ktg_common::{CancelToken, CompletionStatus, DegradeReason};
+use ktg_common::{CancelToken, CompletionStatus, DegradeReason, FixedBitSet};
 use ktg_index::DistanceOracle;
 use ktg_keywords::coverage;
 
@@ -340,7 +342,7 @@ pub(crate) fn solve_with_kernel(
 ) -> KtgOutcome {
     let owned = CancelToken::for_deadline_ms(opts.deadline_ms);
     let outcome =
-        run_with_token(query, oracle, cands, kernel, opts, owned.as_ref(), initial_floor);
+        run_with_token(query, oracle, cands, kernel, None, opts, owned.as_ref(), initial_floor);
     crate::verify::enforce(net, query, &outcome.groups);
     outcome
 }
@@ -365,8 +367,8 @@ pub fn solve_prepared(
 }
 
 /// Runs the search over a pre-extracted candidate set without a graph
-/// (used by DKTG-Greedy, the multi-query-vertex extension, and tests that
-/// manipulate the candidate pool). No graph means no bitmap kernel: all
+/// (used by the multi-query-vertex extension and tests that manipulate
+/// the candidate pool). No graph means no bitmap kernel: all
 /// distance questions go through the oracle.
 pub fn solve_with_candidates(
     query: &KtgQuery,
@@ -377,21 +379,28 @@ pub fn solve_with_candidates(
     run(query, oracle, cands, &ConflictKernel::Oracle, opts)
 }
 
-/// [`solve_with_candidates`] with an externally-owned [`CancelToken`].
+/// Searches only the `live` candidates of a slice whose conflict kernel
+/// was built once for the whole slice, under an externally-owned token.
 ///
-/// Callers that chain several inner searches under one budget — the
-/// DKTG-Greedy loop re-solving with `N = 1` each round — share a single
-/// token across all of them so the budget covers the whole chain rather
-/// than restarting per round. `opts.deadline_ms` is ignored in favor of
-/// the passed token.
-pub fn solve_with_candidates_token(
+/// Callers that chain several inner searches under one budget share a
+/// single token across all of them, so the budget covers the whole
+/// chain rather than restarting per search. DKTG-Greedy re-solves with `N = 1` after every round, each time over
+/// the pool minus the members already chosen: clearing those bits in
+/// `live` replaces shrinking the slice, so one kernel (bitmap rows from
+/// the row memo, or the oracle path) serves every round. The result is
+/// the one a search over the retained sub-slice would return — the root
+/// order depends only on the candidates, never on their indices.
+/// `opts.deadline_ms` is ignored in favor of `cancel`.
+pub(crate) fn solve_live(
     query: &KtgQuery,
     oracle: &impl DistanceOracle,
     cands: &[Candidate],
+    kernel: &ConflictKernel,
+    live: &FixedBitSet,
     opts: &BbOptions,
     cancel: Option<&CancelToken>,
 ) -> KtgOutcome {
-    run_with_token(query, oracle, cands, &ConflictKernel::Oracle, opts, cancel, None)
+    run_with_token(query, oracle, cands, kernel, Some(live), opts, cancel, None)
 }
 
 /// Derives the outcome status from what the engines observed: a fired
@@ -424,10 +433,11 @@ fn run(
     opts: &BbOptions,
 ) -> KtgOutcome {
     let owned = CancelToken::for_deadline_ms(opts.deadline_ms);
-    run_with_token(query, oracle, cands, kernel, opts, owned.as_ref(), None)
+    run_with_token(query, oracle, cands, kernel, None, opts, owned.as_ref(), None)
 }
 
-/// Dispatches to the sequential or parallel driver.
+/// Dispatches to the sequential or parallel driver, searching only the
+/// `live` candidates when a mask is given.
 ///
 /// `stop_at_coverage` and `node_budget` force the sequential engine: both
 /// semantics are defined by DFS discovery order ("the first admitted
@@ -436,11 +446,13 @@ fn run(
 /// freely — their result is discovery-order independent. A deadline does
 /// *not* force sequential: if it fires, the (timing-dependent) result is
 /// flagged `Degraded`; if it never fires, the result is exact.
+#[allow(clippy::too_many_arguments)]
 fn run_with_token(
     query: &KtgQuery,
     oracle: &impl DistanceOracle,
     cands: &[Candidate],
     kernel: &ConflictKernel,
+    live: Option<&FixedBitSet>,
     opts: &BbOptions,
     cancel: Option<&CancelToken>,
     initial_floor: Option<u32>,
@@ -454,10 +466,10 @@ fn run_with_token(
     // altering their semantics.
     let initial_floor = initial_floor.filter(|_| !order_dependent);
     let mut outcome = if workers <= 1 || order_dependent {
-        sequential::run_sequential(query, oracle, cands, kernel, opts, cancel, initial_floor)
+        sequential::run_sequential(query, oracle, cands, kernel, live, opts, cancel, initial_floor)
     } else {
         parallel::run_parallel(
-            query, oracle, cands, kernel, opts, workers, cancel, initial_floor,
+            query, oracle, cands, kernel, live, opts, workers, cancel, initial_floor,
         )
     };
     outcome.status = completion_status(&outcome.stats, cancel);
@@ -866,8 +878,13 @@ mod tests {
         // with an empty (valid, trivially verifier-clean) result.
         let token = ktg_common::CancelToken::with_deadline_ms(0);
         assert!(token.poll(), "0 ms deadline fires on first poll");
-        let out =
-            solve_with_candidates_token(&query, &oracle, &cands, &BbOptions::vkc_deg(), Some(&token));
+        let opts = BbOptions::vkc_deg();
+        let with_token = |token: &ktg_common::CancelToken| {
+            run_with_token(
+                &query, &oracle, &cands, &ConflictKernel::Oracle, None, &opts, Some(token), None,
+            )
+        };
+        let out = with_token(&token);
         assert!(out.stats.cancelled);
         assert_eq!(out.status, CompletionStatus::Degraded(DegradeReason::Deadline));
         assert!(out.stats.nodes <= 1, "cancelled search must stop immediately");
@@ -875,16 +892,13 @@ mod tests {
         // Explicit cancellation reports its own reason.
         let manual = ktg_common::CancelToken::new();
         manual.cancel();
-        let out = solve_with_candidates_token(
-            &query, &oracle, &cands, &BbOptions::vkc_deg(), Some(&manual),
-        );
+        let out = with_token(&manual);
         assert_eq!(out.status, CompletionStatus::Degraded(DegradeReason::Cancelled));
 
         // A live token changes nothing.
         let live = ktg_common::CancelToken::new();
-        let with_live =
-            solve_with_candidates_token(&query, &oracle, &cands, &BbOptions::vkc_deg(), Some(&live));
-        let without = solve_with_candidates(&query, &oracle, &cands, &BbOptions::vkc_deg());
+        let with_live = with_token(&live);
+        let without = solve_with_candidates(&query, &oracle, &cands, &opts);
         assert_eq!(with_live.status, CompletionStatus::Exact);
         assert_eq!(with_live.groups, without.groups);
     }

@@ -12,7 +12,7 @@
 //!
 //! Determinism: the result ranking is a pure function of the group set
 //! (canonical order, see [`crate::group::RankedGroup`]), every group
-//! ranked at least as high as the final N-th best is provably explored by
+//! ranked at least as high as the final N-th best is provably retained by
 //! whichever worker owns its root branch, and merging the per-worker
 //! heaps through one more `TopN` selects the same N groups in the same
 //! order no matter how the workers interleaved. The merged output is
@@ -27,7 +27,7 @@ use crate::group::RankedGroup;
 use crate::query::KtgQuery;
 use crate::stats::SearchStats;
 use ktg_common::parallel::scope_join;
-use ktg_common::{CancelToken, CompletionStatus, SharedThreshold, TopN};
+use ktg_common::{CancelToken, CompletionStatus, FixedBitSet, SharedThreshold, TopN};
 use ktg_index::DistanceOracle;
 
 /// Fans the search out over `workers` threads and deterministically
@@ -40,6 +40,7 @@ pub(super) fn run_parallel(
     oracle: &impl DistanceOracle,
     cands: &[Candidate],
     kernel: &ConflictKernel,
+    live: Option<&FixedBitSet>,
     opts: &BbOptions,
     workers: usize,
     token: Option<&CancelToken>,
@@ -60,7 +61,7 @@ pub(super) fn run_parallel(
             let mut engine = Engine::new(
                 query, oracle, cands, kernel, opts, Some(shared_ref), offset, workers, token,
             );
-            engine.run();
+            engine.run(live);
             engine.into_parts()
         }
     }));

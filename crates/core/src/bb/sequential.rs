@@ -6,14 +6,14 @@
 //! of the first-level branches), and an optional [`SharedThreshold`] that
 //! imports other workers' N-th-best coverage into the Theorem-2 bound.
 //!
-//! Keyword pruning cuts a branch only when its upper bound falls
-//! *strictly below* the threshold. A branch that merely ties must be
-//! explored: under the canonical result ranking a tied group can still
-//! displace an incumbent with a lexicographically larger member list, and
-//! exploring ties is exactly what makes the result a pure function of the
-//! feasible-group set (see DESIGN.md §12). The bound is non-increasing as
-//! the loop advances through the ordered `S_R`, so a failed bound ends
-//! the whole node, not just the branch.
+//! Keyword pruning cuts a branch when its upper bound falls *strictly
+//! below* the threshold. The bound is non-increasing as the loop advances
+//! through the ordered `S_R`, so a failed bound ends the whole node, not
+//! just the branch. A child whose bound merely *ties* the local N-th best
+//! is cut only by canonical-tie pruning: under the canonical result
+//! ranking a tied group enters only with a lexicographically smaller
+//! member list than the N-th's, and the child's smallest possible member
+//! list is known before descending (see DESIGN.md §12).
 
 use super::kernel::ConflictKernel;
 use super::{top_vkc_sum_masks, BbOptions, KtgOutcome};
@@ -25,16 +25,19 @@ use ktg_common::{cancel, CancelToken, CompletionStatus, FixedBitSet, SharedThres
 use ktg_index::DistanceOracle;
 use ktg_keywords::coverage;
 
-/// Runs the engine over the whole tree on the calling thread.
+/// Runs the engine over the whole tree on the calling thread, restricted
+/// to the `live` candidates when a mask is given.
 ///
 /// A caller-proven `initial_floor` (keyword-subset reuse) is delivered
 /// the same way the parallel driver delivers cross-worker floors: through
 /// a [`SharedThreshold`] the engine folds into its Theorem-2 bound.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn run_sequential(
     query: &KtgQuery,
     oracle: &impl DistanceOracle,
     cands: &[Candidate],
     kernel: &ConflictKernel,
+    live: Option<&FixedBitSet>,
     opts: &BbOptions,
     token: Option<&CancelToken>,
     initial_floor: Option<u32>,
@@ -46,7 +49,7 @@ pub(super) fn run_sequential(
     });
     let mut engine =
         Engine::new(query, oracle, cands, kernel, opts, seeded.as_ref(), 0, 1, token);
-    engine.run();
+    engine.run(live);
     let (results, stats) = engine.into_parts();
     KtgOutcome {
         groups: results.into_sorted_desc().into_iter().map(|r| r.group).collect(),
@@ -85,6 +88,10 @@ pub(super) struct Engine<'a, O: DistanceOracle> {
     /// into `avail[d + 1]` by one word-parallel AND-NOT. Empty unless the
     /// kernel is bitmap-backed and eager filtering is on.
     avail: Vec<FixedBitSet>,
+    /// Reused sorted-member scratch for canonical-tie checks: the
+    /// smallest member list a child can complete to, or a leaf's sorted
+    /// members before a [`Group`] is allocated for it.
+    key: Vec<VertexId>,
 }
 
 impl<'a, O: DistanceOracle> Engine<'a, O> {
@@ -121,16 +128,23 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
             members: Vec::with_capacity(query.p()),
             member_idx: Vec::with_capacity(query.p()),
             avail,
+            key: Vec::with_capacity(query.p()),
         }
     }
 
     /// Sorts the root `S_R` and explores this engine's share of the tree.
-    pub(super) fn run(&mut self) {
-        let mut ord: Vec<u32> = (0..self.cands.len() as u32).collect();
+    /// `live` restricts the root pool to a subset of the candidate indices
+    /// (DKTG-Greedy masks out earlier rounds' members); `None` searches
+    /// every candidate.
+    pub(super) fn run(&mut self, live: Option<&FixedBitSet>) {
+        let mut ord: Vec<u32> = match live {
+            Some(live) => live.iter_ones().map(|ci| ci as u32).collect(),
+            None => (0..self.cands.len() as u32).collect(),
+        };
         self.opts.ordering.sort_indices(0, self.cands, &mut ord);
         if !self.avail.is_empty() {
-            for ci in 0..self.cands.len() {
-                self.avail[0].insert(ci);
+            for &ci in &ord {
+                self.avail[0].insert(ci as usize);
             }
         }
         self.node(0, &ord);
@@ -171,10 +185,22 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
         bound >= threshold
     }
 
+    /// Offers the complete group `S_I`. A group that cannot beat the
+    /// local N-th best — lower coverage, or equal coverage without a
+    /// canonically smaller member list — is rejected against the sorted
+    /// scratch key before any [`Group`] is allocated.
     fn offer(&mut self, covered: u64) {
         self.stats.groups_evaluated += 1;
-        let group = Group::new(self.members.clone(), covered);
-        let count = group.coverage_count();
+        let count = coverage::covered_count(covered);
+        self.key.clear();
+        self.key.extend_from_slice(&self.members);
+        self.key.sort_unstable();
+        if let Some(nth) = self.results.threshold() {
+            if count < nth.count || (count == nth.count && self.key[..] >= *nth.group.members()) {
+                return;
+            }
+        }
+        let group = Group::new(self.key.clone(), covered);
         let admitted = self.results.offer(RankedGroup::new(group));
         if admitted && self.results.is_full() {
             if let (Some(shared), Some(nth)) = (self.shared, self.results.threshold()) {
@@ -186,6 +212,68 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
                 }
             }
         }
+    }
+
+    /// Theorem 2 and canonical-tie pruning applied to a child before
+    /// descending into it: `covered` already includes the new member
+    /// (the last entry of `S_I`), `child` is its pool in any order and
+    /// `need` the members still to pick from it. Returns `true` when no
+    /// completion of the child can enter the result.
+    ///
+    /// * A bound below the threshold cuts, exactly as the child's own
+    ///   first Theorem-2 check would.
+    /// * A bound *equal* to the local N-th best's count cuts when the
+    ///   sorted list `S_I ∪ {smallest need ids of the child}` is not
+    ///   lexicographically smaller than the N-th's members. That list is
+    ///   element-wise at most the sorted members of any completion, so
+    ///   every completion ties the N-th on count and loses on canonical
+    ///   order. The local heap's N-th only improves over time, so nothing
+    ///   cut here could have been admitted later. When the shared floor
+    ///   is above the local N-th count a tied bound is below the
+    ///   threshold anyway; the local heap is only consulted at or above
+    ///   the floor.
+    fn child_pruned(&mut self, covered: u64, child: &[u32], need: usize) -> bool {
+        let Some(threshold) = self.threshold() else { return false };
+        if child.len() < need {
+            // Infeasible: the child's own feasibility cut reports it.
+            return false;
+        }
+        let cands = self.cands;
+        // No group covers more than |W_Q|: the cap turns the many loose
+        // bounds above a full-coverage N-th best into ties.
+        let bound = (coverage::covered_count(covered)
+            + top_vkc_sum_masks(
+                covered,
+                child.iter().map(|&ci| cands[ci as usize].mask),
+                need,
+                false,
+            ))
+        .min(self.query.keywords().len() as u32);
+        if bound != threshold {
+            return bound < threshold;
+        }
+        let Some(nth) = self.results.threshold().filter(|nth| nth.count == threshold) else {
+            return false;
+        };
+        // The `need` smallest ids of the child pool, kept ascending in the
+        // tail of `key` (need < p, so the insertion scan stays tiny).
+        let key = &mut self.key;
+        key.clear();
+        key.extend_from_slice(&self.members);
+        let base = key.len();
+        for &ci in child {
+            let v = cands[ci as usize].v;
+            if key.len() - base == need {
+                if v >= key[key.len() - 1] {
+                    continue;
+                }
+                key.pop();
+            }
+            let pos = base + key[base..].partition_point(|&x| x < v);
+            key.insert(pos, v);
+        }
+        key.sort_unstable();
+        key[..] >= *nth.group.members()
     }
 
     /// Counts a search-tree node against the budgets; returns `false`
@@ -323,8 +411,14 @@ impl<'a, O: DistanceOracle> Engine<'a, O> {
                         child = tail.to_vec();
                     }
                 }
-                self.opts.ordering.sort_indices(new_covered, self.cands, &mut child);
-                self.node(new_covered, &child);
+                // Checked before the sort: most cut children are never
+                // ordered at all.
+                if self.opts.keyword_pruning && self.child_pruned(new_covered, &child, need - 1) {
+                    self.stats.keyword_pruned += 1;
+                } else {
+                    self.opts.ordering.sort_indices(new_covered, self.cands, &mut child);
+                    self.node(new_covered, &child);
+                }
             }
 
             self.members.pop();

@@ -16,13 +16,15 @@
 //! With disjoint groups `dL(RG) = 1`, giving the `1 − α` approximation
 //! guarantee of §VI-C (see [`approximation_ratio`]).
 
-use crate::bb::{self, BbOptions};
+use crate::bb::{self, BbOptions, ConflictKernel};
 use crate::candidates::{self, Candidate};
 use crate::group::Group;
 use crate::network::AttributedGraph;
 use crate::query::KtgQuery;
 use crate::stats::SearchStats;
-use ktg_common::{CancelToken, CompletionStatus, FxHashSet, KtgError, Result, VertexId};
+use ktg_common::{
+    CancelToken, CompletionStatus, FixedBitSet, FxHashSet, KtgError, Result, VertexId,
+};
 use ktg_index::DistanceOracle;
 
 /// A validated DKTG query: a KTG query plus the score weight `γ`.
@@ -161,7 +163,8 @@ pub fn solve(
 
 /// Runs DKTG-Greedy with a caller-configured inner engine (ordering,
 /// pruning toggles, node budget — `stop_at_coverage` is managed by the
-/// greedy loop and overridden).
+/// greedy loop and overridden). The conflict kernel is built once, with
+/// [`ConflictKernel::build`], and shared by every greedy round.
 pub fn solve_with_options(
     net: &AttributedGraph,
     query: &DktgQuery,
@@ -169,16 +172,19 @@ pub fn solve_with_options(
     inner_opts: &BbOptions,
 ) -> DktgOutcome {
     let masks = net.compile(query.base.keywords());
-    let mut cands = candidates::collect_vec(net.graph(), &masks);
-    let outcome = solve_with_candidates(query, oracle, &mut cands, inner_opts);
+    let cands = candidates::collect_vec(net.graph(), &masks);
+    let kernel = ConflictKernel::build(net.graph(), &cands, query.base.k(), inner_opts);
+    let token = CancelToken::for_deadline_ms(inner_opts.deadline_ms);
+    let outcome = solve_with_kernel(query, oracle, &cands, &kernel, inner_opts, token.as_ref());
     crate::verify::enforce_dktg(net, query, &outcome.groups);
     outcome
 }
 
 /// DKTG-Greedy over a pre-extracted candidate pool. The pool is consumed
-/// in place (each greedy round retains only the non-selected candidates)
-/// but the *allocation* is the caller's — the batched executor hands in a
-/// pooled vector and recycles it afterwards.
+/// in place (on return it retains only the non-selected candidates, in
+/// their original order) but the *allocation* is the caller's. Without a
+/// graph there is no bitmap kernel: every distance question goes through
+/// the oracle.
 pub fn solve_with_candidates(
     query: &DktgQuery,
     oracle: &impl DistanceOracle,
@@ -201,17 +207,41 @@ pub fn solve_with_candidates_token(
     inner_opts: &BbOptions,
     cancel: Option<&CancelToken>,
 ) -> DktgOutcome {
+    let outcome =
+        solve_with_kernel(query, oracle, pool, &ConflictKernel::Oracle, inner_opts, cancel);
+    pool.retain(|c| !outcome.groups.iter().any(|g| g.contains(c.v)));
+    outcome
+}
+
+/// The DKTG-Greedy loop over a fixed candidate slice and its prebuilt
+/// conflict kernel, shared by every entry point. Each round re-solves
+/// with `N = 1` over the candidates still set in a `live` mask; the
+/// chosen group's members are then cleared from the mask, so the slice
+/// and the kernel rows stay untouched across rounds.
+pub(crate) fn solve_with_kernel(
+    query: &DktgQuery,
+    oracle: &impl DistanceOracle,
+    cands: &[Candidate],
+    kernel: &ConflictKernel,
+    inner_opts: &BbOptions,
+    cancel: Option<&CancelToken>,
+) -> DktgOutcome {
     let mut groups: Vec<Group> = Vec::new();
     let mut stats = SearchStats::default();
     // The coverage bar C_max: None until the first group fixes it.
     let mut c_max: Option<u32> = None;
+    let mut live = FixedBitSet::new(cands.len());
+    for ci in 0..cands.len() {
+        live.insert(ci);
+    }
+    let mut remaining = cands.len();
 
     // N = 1 is always a valid result size, so `with_n(1)` can only fail
     // if the base query were somehow out of domain — in that case the
     // greedy loop has nothing to iterate and the empty outcome below is
     // the honest answer (no panic in library code).
     if let Ok(inner_query) = query.base.with_n(1) {
-        while groups.len() < query.base.n() && pool.len() >= query.base.p() {
+        while groups.len() < query.base.n() && remaining >= query.base.p() {
             // Between-round check: the inner engines poll the clock; here a
             // relaxed load suffices to stop starting new rounds.
             if let Some(token) = cancel {
@@ -224,10 +254,8 @@ pub fn solve_with_candidates_token(
             // must not spawn their own per-round deadline.
             let opts =
                 BbOptions { stop_at_coverage: c_max, deadline_ms: None, ..*inner_opts };
-            // The engine sorts a private index vector, never the slice, so
-            // the pool passes down by reference — no per-round clone.
             let outcome =
-                bb::solve_with_candidates_token(&inner_query, oracle, pool, &opts, cancel);
+                bb::solve_live(&inner_query, oracle, cands, kernel, &live, &opts, cancel);
             stats.merge(&outcome.stats);
             let Some(best) = outcome.groups.into_iter().next() else {
                 break; // no feasible group left in the remaining pool
@@ -237,7 +265,12 @@ pub fn solve_with_candidates_token(
             c_max = Some(best.coverage_count());
             // Remove the new group's members from the pool — the maximal
             // contribution to the diversity term.
-            pool.retain(|c| !best.contains(c.v));
+            for (ci, c) in cands.iter().enumerate() {
+                if best.contains(c.v) && live.contains(ci) {
+                    live.remove(ci);
+                    remaining -= 1;
+                }
+            }
             groups.push(best);
         }
     }

@@ -211,6 +211,38 @@ if ! cmp -s "$tmp/batch-clean.out" "$tmp/batch-fault.out"; then
     exit 1
 fi
 
+echo "== kernel differential smoke (checked mode: bitmap rows == oracle probes, KTG and DKTG) =="
+# The same mixed workload with the default options (bitmap kernels,
+# including DKTG's shared per-query kernel) and with --bitmap-threshold 0
+# (every distance question probes the oracle): the answer lines must be
+# byte-identical. Only the served: counters may differ between kernels.
+cat > "$tmp/kernel-workload.txt" <<'EOF'
+ktg terms=t0,t1,t4 p=3 k=2 n=3
+dktg terms=t0,t3,t17 p=3 k=2 n=3 gamma=0.5
+dktg terms=t1,t2,t5,t8 p=3 k=1 n=4 gamma=0.8
+ktg terms=t2,t6 p=2 k=1 n=1
+dktg terms=t17,t3,t0 p=3 k=2 n=3 gamma=0.5
+insert 0 9
+dktg terms=t0,t1,t2 p=2 k=2 n=4 gamma=0.3
+ktg terms=t4,t1,t0 p=3 k=2 n=3
+ktg terms=t1,t5 p=3 k=1 n=2
+EOF
+kernel_flags=(--workload "$tmp/kernel-workload.txt" --edges "$tmp/data/edges.txt"
+    --keywords "$tmp/data/keywords.txt")
+KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch "${kernel_flags[@]}" \
+    | grep -v '^served: ' > "$tmp/kernel-bitmap.out"
+KTG_VERIFY=1 cargo run -q --release --offline -p ktg-cli -- batch "${kernel_flags[@]}" \
+    --bitmap-threshold 0 | grep -v '^served: ' > "$tmp/kernel-oracle.out"
+grep -q '^\[2\] dktg: ' "$tmp/kernel-bitmap.out" || {
+    echo "FAIL: kernel smoke rendered no DKTG answer" >&2
+    exit 1
+}
+if ! cmp -s "$tmp/kernel-bitmap.out" "$tmp/kernel-oracle.out"; then
+    echo "FAIL: bitmap-kernel answers diverged from the oracle-probing run:" >&2
+    diff "$tmp/kernel-bitmap.out" "$tmp/kernel-oracle.out" >&2 || true
+    exit 1
+fi
+
 echo "== server smoke (ktg serve on an ephemeral port, bytes == batch, clean shutdown) =="
 # Background server under checked mode; the trap kills it on any failure
 # so a broken smoke can never leave an orphan process behind.
