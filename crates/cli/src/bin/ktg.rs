@@ -32,20 +32,29 @@ fn main() {
             eprintln!();
             eprintln!("usage: ktg <generate|stats|index|query|dktg|batch|serve> [--flag value]...");
             eprintln!("  generate --profile NAME --out DIR [--scale N] [--seed N]");
+            eprintln!("  generate --sbm-n N --out DIR [--sbm-blocks B] [--sbm-pin P] [--sbm-pout P]");
+            eprintln!("           [--chunk-capacity N] [--seed N]");
             eprintln!("  stats    --edges FILE [--keywords FILE]");
-            eprintln!("  index    --edges FILE --out FILE");
-            eprintln!("  query    --edges FILE [--keywords FILE] (--terms a,b,c | --random-terms N)");
+            eprintln!("  index    --edges FILE [--keywords FILE] (--out FILE | --bundle FILE)");
+            eprintln!("           [--threads N] [--graph-format flat|compressed]");
+            eprintln!("  query    (--edges FILE [--keywords FILE] | --bundle FILE)");
+            eprintln!("           (--terms a,b,c | --random-terms N [--seed N])");
             eprintln!("           [-p N] [-k N] [-n N] [--algo qkc|vkc|vkc-deg]");
             eprintln!("           [--oracle bfs|nl|nlrnl] [--index FILE] [--authors 1,2]");
-            eprintln!("           [--explain true] [--deadline-ms N] [--node-budget N]");
+            eprintln!("           [--bitmap-threshold N] [--explain true] [--parallel true] [--threads N]");
+            eprintln!("           [--deadline-ms N] [--node-budget N]");
             eprintln!("  dktg     (query flags) [--gamma F]");
-            eprintln!("  batch    --workload FILE --edges FILE [--keywords FILE] [--threads N]");
-            eprintln!("           [--cache-entries N] [--no-cache] [--algo NAME]");
-            eprintln!("           [--bitmap-threshold N] [--deadline-ms N] [--node-budget N]");
-            eprintln!("           [--max-inflight N]");
-            eprintln!("  serve    --edges FILE [--keywords FILE] [--bind ADDR] [--workers N]");
-            eprintln!("           [--conn-deadline-ms N] (plus the batch engine/cache flags)");
+            eprintln!("  batch    --workload FILE (--edges FILE [--keywords FILE] | --bundle FILE)");
+            eprintln!("           [--graph-format flat|compressed] [--threads N]");
+            eprintln!("           [--cache-entries N] [--no-cache] [--cache-policy cost|fifo]");
+            eprintln!("           [--no-subset-reuse] [--algo NAME] [--bitmap-threshold N]");
+            eprintln!("           [--deadline-ms N] [--node-budget N] [--max-inflight N]");
+            eprintln!("  serve    (--edges FILE [--keywords FILE] | --bundle FILE) [--bind ADDR]");
+            eprintln!("           [--workers N] [--conn-deadline-ms N] [--wal FILE]");
+            eprintln!("           [--wal-sync always|batch] [--checkpoint-every N]");
+            eprintln!("           (plus the batch engine/cache flags)");
             eprintln!("  serve    --connect ADDR [--workload FILE] [--stats] [--shutdown]");
+            eprintln!("           [--retry N] [--retry-base-ms N]");
             eprintln!("env: KTG_THREADS=N  KTG_VERIFY=1  KTG_FAULTS=<sites>:<rate>:<seed>");
             eprintln!("exit codes: 0 ok; 3 degraded/partial answers; 4 overloaded/shed; 2 error");
             std::process::exit(2);

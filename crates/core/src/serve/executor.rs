@@ -54,10 +54,10 @@ use ktg_common::parallel::{scope_join, worker_count};
 use ktg_common::{
     CancelToken, CompletionStatus, FixedBitSet, FxHashMap, Pool, PoolGuard, Stopwatch, VertexId,
 };
-use ktg_graph::{Adjacency, DynamicGraph, GraphStore};
+use ktg_graph::GraphStore;
 use ktg_index::{
-    conflict_bitmaps_cached, kline_conflict_bitmaps, pll_conflict_bitmaps_into, DistanceOracle,
-    DynamicNlrnl, KernelScratch, NeighborhoodCache, NlrnlIndex, PllIndex,
+    conflict_bitmaps_cached, kline_conflict_bitmaps, DynamicNlrnl, KernelScratch,
+    NeighborhoodCache, NlrnlIndex,
 };
 
 use crate::bb::{self, BbOptions, ConflictKernel, KtgOutcome};
@@ -205,149 +205,6 @@ impl MaskPermutation {
     }
 }
 
-/// Selects which distance oracle a [`ServeSession`] maintains behind its
-/// conflict-row construction and pairwise probes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OracleKind {
-    /// The paper's NLRNL index, maintained *incrementally* under edge
-    /// updates (the default — cheapest when updates are frequent).
-    #[default]
-    Nlrnl,
-    /// Pruned landmark labeling: distance queries are label merges and a
-    /// candidate's whole conflict row falls out of one label scan
-    /// ([`ktg_index::pll_conflict_bitmaps_into`]). Each applied edge
-    /// update triggers a full — but parallel and deterministic — label
-    /// rebuild, so this kind favors query-heavy workloads.
-    Pll,
-}
-
-impl OracleKind {
-    /// Flag-facing name (`--oracle` value).
-    pub fn name(self) -> &'static str {
-        match self {
-            OracleKind::Nlrnl => "nlrnl",
-            OracleKind::Pll => "pll",
-        }
-    }
-}
-
-/// The session's distance oracle: one mutable topology mirror bundled
-/// with whichever index [`OracleKind`] selected, kept consistent across
-/// edge updates. Queries always run against the frozen CSR in the
-/// session's [`AttributedGraph`], rebuilt from this mirror after each
-/// applied update.
-pub enum ServeOracle {
-    /// NLRNL with incremental maintenance.
-    Nlrnl(DynamicNlrnl),
-    /// PLL labels, rebuilt in parallel after each applied update.
-    Pll {
-        /// The mutable topology mirror.
-        graph: DynamicGraph,
-        /// Labels over the current topology.
-        index: PllIndex,
-    },
-}
-
-impl ServeOracle {
-    /// Builds the session oracle, reusing a pre-built NLRNL index (a bundle reload)
-    /// instead of reconstructing it. A prebuilt index under the PLL
-    /// oracle, or one covering a different vertex count, is ignored and
-    /// the index is rebuilt — the session must always open consistent.
-    fn with_prebuilt<A: Adjacency + Sync>(
-        kind: OracleKind,
-        graph: &A,
-        prebuilt: Option<NlrnlIndex>,
-    ) -> Self {
-        match kind {
-            OracleKind::Nlrnl => {
-                if let Some(index) = prebuilt {
-                    if let Ok(d) = DynamicNlrnl::with_index(graph, index) {
-                        return ServeOracle::Nlrnl(d);
-                    }
-                }
-                ServeOracle::Nlrnl(DynamicNlrnl::new(graph))
-            }
-            OracleKind::Pll => ServeOracle::Pll {
-                graph: DynamicGraph::from_graph(graph),
-                index: PllIndex::build_parallel(graph),
-            },
-        }
-    }
-
-    /// The current topology.
-    pub fn graph(&self) -> &DynamicGraph {
-        match self {
-            ServeOracle::Nlrnl(d) => d.graph(),
-            ServeOracle::Pll { graph, .. } => graph,
-        }
-    }
-
-    /// Applies one edge mutation, keeping the index consistent. Returns
-    /// whether the topology actually changed; errors propagate from graph
-    /// validation (range, self-loop).
-    fn apply(&mut self, insert: bool, u: VertexId, v: VertexId) -> ktg_common::Result<bool> {
-        match self {
-            ServeOracle::Nlrnl(d) => {
-                if insert {
-                    d.insert_edge(u, v)
-                } else {
-                    d.remove_edge(u, v)
-                }
-            }
-            ServeOracle::Pll { graph, index } => {
-                let changed = if insert {
-                    graph.insert_edge(u, v)?
-                } else {
-                    graph.remove_edge(u, v)?
-                };
-                if changed {
-                    // No incremental maintenance for 2-hop labels; rebuild
-                    // in parallel. The batch construction is deterministic
-                    // (thread-count independent), so the post-update label
-                    // set — and every answer derived from it — is too.
-                    *index = PllIndex::build_parallel(&graph.to_csr());
-                }
-                Ok(changed)
-            }
-        }
-    }
-
-    /// A `Copy` borrow for the worker fan-out.
-    fn as_ref(&self) -> OracleRef<'_> {
-        match self {
-            ServeOracle::Nlrnl(d) => OracleRef::Nlrnl(d.index()),
-            ServeOracle::Pll { index, .. } => OracleRef::Pll(index),
-        }
-    }
-}
-
-/// Borrowed view of the session oracle that every worker carries through
-/// the answer pipeline. Implements [`DistanceOracle`] by delegation;
-/// `solve_ktg` additionally matches on it to pick the conflict-row
-/// construction path (cached bounded BFS vs. PLL label scans).
-#[derive(Clone, Copy)]
-enum OracleRef<'a> {
-    Nlrnl(&'a NlrnlIndex),
-    Pll(&'a PllIndex),
-}
-
-impl DistanceOracle for OracleRef<'_> {
-    #[inline]
-    fn farther_than(&self, u: VertexId, v: VertexId, k: u32) -> bool {
-        match self {
-            OracleRef::Nlrnl(index) => index.farther_than(u, v, k),
-            OracleRef::Pll(index) => index.farther_than(u, v, k),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            OracleRef::Nlrnl(index) => index.name(),
-            OracleRef::Pll(index) => index.name(),
-        }
-    }
-}
-
 /// Per-worker recycled scratch: everything a fresh solve needs that is
 /// sized by the query, pooled so steady-state serving allocates nothing
 /// large. (The per-query keyword-mask compile still allocates inside
@@ -401,12 +258,12 @@ pub struct ServeStats {
 /// A long-lived query-serving session over one attributed network.
 pub struct ServeSession {
     net: AttributedGraph,
-    /// Mutable mirror of `net`'s topology bundled with the configured
-    /// distance index — the shared, immutable-between-updates oracle
-    /// every worker reads concurrently. Queries always run against the
-    /// frozen CSR in `net`, rebuilt from this mirror after each applied
-    /// update.
-    oracle: ServeOracle,
+    /// Mutable mirror of `net`'s topology bundled with the NLRNL index,
+    /// maintained incrementally under edge updates — the shared,
+    /// immutable-between-updates oracle every worker reads concurrently.
+    /// Queries always run against the frozen CSR in `net`, rebuilt from
+    /// this mirror after each applied update.
+    oracle: DynamicNlrnl,
     /// Bumped once per applied edge update; stamps every cache entry.
     epoch: u64,
     options: ServeOptions,
@@ -425,13 +282,17 @@ impl ServeSession {
     }
 
     /// Opens a session reusing a pre-built NLRNL index (the bundle-reload
-    /// path; see [`ServeOracle::with_prebuilt`] for the fallback rules).
+    /// path) instead of reconstructing it. A prebuilt index covering a
+    /// different vertex count is ignored and the index is rebuilt — the
+    /// session must always open consistent.
     pub fn with_index(
         net: AttributedGraph,
         options: ServeOptions,
         index: Option<NlrnlIndex>,
     ) -> Self {
-        let oracle = ServeOracle::with_prebuilt(options.oracle, net.graph(), index);
+        let oracle = index
+            .and_then(|index| DynamicNlrnl::with_index(net.graph(), index).ok())
+            .unwrap_or_else(|| DynamicNlrnl::new(net.graph()));
         ServeSession {
             oracle,
             epoch: 0,
@@ -456,14 +317,11 @@ impl ServeSession {
         self.epoch
     }
 
-    /// The live NLRNL index when that oracle is configured (`None` under
-    /// PLL). This is the checkpoint seam: the server persists it into
-    /// the rewritten bundle so a recovery reload skips reconstruction.
+    /// The live NLRNL index (always `Some`). This is the checkpoint seam:
+    /// the server persists it into the rewritten bundle so a recovery
+    /// reload skips reconstruction.
     pub fn nlrnl_index(&self) -> Option<&NlrnlIndex> {
-        match &self.oracle {
-            ServeOracle::Nlrnl(d) => Some(d.index()),
-            ServeOracle::Pll { .. } => None,
-        }
+        Some(self.oracle.index())
     }
 
     /// Cache instrumentation so far.
@@ -539,7 +397,7 @@ impl ServeSession {
                 reason: "update items require exclusive session access".to_string(),
             };
         }
-        let oracle = self.oracle.as_ref();
+        let oracle = self.oracle.index();
         let mut slot: Option<PoolGuard<'_, Arena>> = None;
         self.answer_isolated(item, oracle, &mut slot)
     }
@@ -561,7 +419,11 @@ impl ServeSession {
     /// the frozen CSR is rebuilt; a no-op update leaves both untouched so
     /// caches stay warm.
     fn apply_update(&mut self, insert: bool, u: VertexId, v: VertexId) -> ItemOutcome {
-        let changed = self.oracle.apply(insert, u, v);
+        let changed = if insert {
+            self.oracle.insert_edge(u, v)
+        } else {
+            self.oracle.remove_edge(u, v)
+        };
         // Out-of-range/self-loop updates are reported, not fatal: a
         // workload replay keeps going (the parser already rejects them in
         // files; this arm covers programmatic workloads).
@@ -603,7 +465,7 @@ impl ServeSession {
         // worker reads the same oracle lock-free — the shared-index
         // amortization that makes the fan-out actually scale (per-worker
         // memoizing oracles would redo each other's BFS work).
-        let oracle = self.oracle.as_ref();
+        let oracle = self.oracle.index();
 
         let mut slot: Option<PoolGuard<'_, Arena>> = None;
         if workers <= 1 {
@@ -727,7 +589,7 @@ impl ServeSession {
     fn answer_isolated<'p>(
         &'p self,
         item: &WorkloadItem,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         slot: &mut Option<PoolGuard<'p, Arena>>,
     ) -> ItemOutcome {
         match self.attempt(item, oracle, slot) {
@@ -758,7 +620,7 @@ impl ServeSession {
     fn attempt<'p>(
         &'p self,
         item: &WorkloadItem,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         slot: &mut Option<PoolGuard<'p, Arena>>,
     ) -> std::thread::Result<ItemOutcome> {
         catch_unwind(AssertUnwindSafe(|| {
@@ -780,12 +642,7 @@ impl ServeSession {
         BbOptions { threads: 1, ..self.options.engine }
     }
 
-    fn answer(
-        &self,
-        item: &WorkloadItem,
-        oracle: OracleRef<'_>,
-        arena: &mut Arena,
-    ) -> ItemOutcome {
+    fn answer(&self, item: &WorkloadItem, oracle: &NlrnlIndex, arena: &mut Arena) -> ItemOutcome {
         match item {
             WorkloadItem::Ktg(query) => ItemOutcome::Ktg(self.answer_ktg(query, oracle, arena)),
             WorkloadItem::Dktg(query) => {
@@ -797,12 +654,7 @@ impl ServeSession {
         }
     }
 
-    fn answer_ktg(
-        &self,
-        query: &KtgQuery,
-        oracle: OracleRef<'_>,
-        arena: &mut Arena,
-    ) -> KtgAnswer {
+    fn answer_ktg(&self, query: &KtgQuery, oracle: &NlrnlIndex, arena: &mut Arena) -> KtgAnswer {
         let opts = self.inner_opts();
         let key = self.options.use_cache.then(|| CacheKey::ktg(query, &opts));
         if let Some(key) = &key {
@@ -862,7 +714,7 @@ impl ServeSession {
     fn solve_ktg(
         &self,
         query: &KtgQuery,
-        oracle: OracleRef<'_>,
+        oracle: &NlrnlIndex,
         arena: &mut Arena,
         opts: &BbOptions,
         seed: Option<SubsetSeed>,
@@ -872,9 +724,9 @@ impl ServeSession {
         // The floor only tightens pruning — never what is enumerable — so
         // seeded and unseeded solves return byte-identical groups.
         let floor = seed.and_then(|seed| seed.floor(&arena.cands, query.n()));
-        let kernel = self.kernel(query.k(), oracle, arena, opts);
+        let kernel = self.kernel(query.k(), arena, opts);
         let outcome =
-            bb::solve_with_kernel(&self.net, query, &oracle, &arena.cands, &kernel, opts, floor);
+            bb::solve_with_kernel(&self.net, query, oracle, &arena.cands, &kernel, opts, floor);
         arena.reclaim(kernel);
         outcome
     }
@@ -883,53 +735,31 @@ impl ServeSession {
     /// bitmap-vs-oracle fork on exactly [`ConflictKernel::wants_bitmap`]
     /// so stats and results match [`bb::solve`] /
     /// [`dktg::solve_with_options`] bit for bit. Bitmap rows come from
-    /// PLL label merges, the `(vertex, k)` row memo, or fresh bounded BFS;
+    /// the `(vertex, k)` row memo, or fresh bounded BFS with the cache off;
     /// their allocations are the arena's (see [`Arena::reclaim`]).
-    fn kernel(
-        &self,
-        k: u32,
-        oracle: OracleRef<'_>,
-        arena: &mut Arena,
-        opts: &BbOptions,
-    ) -> ConflictKernel {
+    fn kernel(&self, k: u32, arena: &mut Arena, opts: &BbOptions) -> ConflictKernel {
         if !ConflictKernel::wants_bitmap(arena.cands.len(), opts) {
             return ConflictKernel::Oracle;
         }
         arena.sources.clear();
         arena.sources.extend(arena.cands.iter().map(|c| c.v));
-        match oracle {
-            OracleRef::Pll(pll) => {
-                // PLL fast path: every row falls out of label merges,
-                // bit-identical to the BFS rows (enforced in ktg-index).
-                // The `(vertex, k)` memo is bypassed — the labels already
-                // amortize across queries — so `row_hits`/`row_misses`
-                // stay untouched in this mode.
-                pll_conflict_bitmaps_into(pll, &arena.sources, k, &mut arena.bitmaps);
-            }
-            OracleRef::Nlrnl(_) if self.options.use_cache => {
-                conflict_bitmaps_cached(
-                    self.net.graph(),
-                    &arena.sources,
-                    k,
-                    &self.rows,
-                    self.epoch,
-                    &mut arena.kernel,
-                    &mut arena.bitmaps,
-                );
-            }
-            OracleRef::Nlrnl(_) => {
-                arena.bitmaps = kline_conflict_bitmaps(self.net.graph(), &arena.sources, k);
-            }
+        if self.options.use_cache {
+            conflict_bitmaps_cached(
+                self.net.graph(),
+                &arena.sources,
+                k,
+                &self.rows,
+                self.epoch,
+                &mut arena.kernel,
+                &mut arena.bitmaps,
+            );
+        } else {
+            arena.bitmaps = kline_conflict_bitmaps(self.net.graph(), &arena.sources, k);
         }
         ConflictKernel::Bitmap(std::mem::take(&mut arena.bitmaps))
     }
 
-    fn answer_dktg(
-        &self,
-        query: &DktgQuery,
-        oracle: OracleRef<'_>,
-        arena: &mut Arena,
-    ) -> DktgAnswer {
+    fn answer_dktg(&self, query: &DktgQuery, oracle: &NlrnlIndex, arena: &mut Arena) -> DktgAnswer {
         let opts = self.inner_opts();
         let key = self.options.use_cache.then(|| CacheKey::dktg(query, &opts));
         if let Some(key) = &key {
@@ -957,10 +787,10 @@ impl ServeSession {
         let clock = Stopwatch::start();
         let masks = self.net.compile(query.base().keywords());
         candidates::collect(self.net.graph(), &masks, &mut arena.cands);
-        let kernel = self.kernel(query.base().k(), oracle, arena, &opts);
+        let kernel = self.kernel(query.base().k(), arena, &opts);
         let token = CancelToken::for_deadline_ms(opts.deadline_ms);
         let outcome =
-            dktg::solve_with_kernel(query, &oracle, &arena.cands, &kernel, &opts, token.as_ref());
+            dktg::solve_with_kernel(query, oracle, &arena.cands, &kernel, &opts, token.as_ref());
         arena.reclaim(kernel);
         let solve_ns = clock.elapsed_nanos();
         crate::verify::enforce_dktg(&self.net, query, &outcome.groups);
@@ -1474,43 +1304,6 @@ ktg terms=SN,QP,DQ p=3 k=1 n=2
         assert_eq!(seed.floor(&cands, 1), Some(2));
         assert_eq!(seed.floor(&cands, 2), Some(1));
         assert_eq!(seed.floor(&cands, 3), None, "only two groups survive the filter");
-    }
-
-    #[test]
-    fn pll_oracle_session_matches_nlrnl() {
-        let net = fixtures::figure1();
-        let workload = parse_workload(
-            "\
-ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
-dktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2 gamma=0.5
-insert 0 5
-ktg terms=SN,QP,DQ,GQ,GD p=3 k=1 n=2
-remove 0 5
-ktg terms=SN,QP,DQ p=2 k=2 n=1
-",
-            &net,
-        )
-        .unwrap();
-        // Both the bitmap-kernel path (PLL label-scan rows) and the
-        // pairwise-probe path (threshold 0) must agree with NLRNL.
-        for engine in [BbOptions::vkc_deg(), BbOptions::vkc_deg().with_bitmap_threshold(0)] {
-            let opts = |oracle| ServeOptions {
-                threads: 1,
-                oracle,
-                engine,
-                ..ServeOptions::default()
-            };
-            let nlrnl = ServeSession::new(net.clone(), opts(OracleKind::Nlrnl)).run(&workload);
-            let mut pll_session = ServeSession::new(net.clone(), opts(OracleKind::Pll));
-            let pll = pll_session.run(&workload);
-            assert_eq!(nlrnl, pll, "threshold={}", engine.bitmap_threshold);
-            assert_eq!(
-                pll_session.stats().row_hits,
-                0,
-                "PLL mode bypasses the (vertex, k) memo entirely"
-            );
-            assert_eq!(pll_session.epoch(), 2, "updates rebuilt the labels twice");
-        }
     }
 
     #[test]

@@ -42,9 +42,7 @@ pub mod executor;
 pub mod workload;
 
 pub use cache::{CacheKey, CachePolicy, ResultCache};
-pub use executor::{
-    DktgAnswer, ItemOutcome, KtgAnswer, OracleKind, ServeOracle, ServeSession, ServeStats,
-};
+pub use executor::{DktgAnswer, ItemOutcome, KtgAnswer, ServeSession, ServeStats};
 pub use workload::{parse_request_line, parse_workload, WorkloadItem};
 
 /// Configuration for a [`ServeSession`].
@@ -71,10 +69,6 @@ pub struct ServeOptions {
     /// Sound — the floor only tightens pruning, never changes the top-N
     /// (DESIGN.md §17) — and ignored when `use_cache` is off.
     pub subset_reuse: bool,
-    /// Which distance oracle backs conflict-row construction. NLRNL (the
-    /// default) maintains incrementally under edge updates; PLL answers
-    /// by label merge and rebuilds (in parallel) on update.
-    pub oracle: executor::OracleKind,
     /// Inner engine configuration. The `threads` field is overridden to
     /// `1` per solve; the result-affecting fields (ordering, pruning
     /// toggles, bitmap threshold) are folded into every cache key.
@@ -94,7 +88,6 @@ impl Default for ServeOptions {
             cache_entries: 4096,
             cache_policy: CachePolicy::default(),
             subset_reuse: true,
-            oracle: executor::OracleKind::Nlrnl,
             engine: BbOptions::vkc_deg(),
             max_inflight: 0,
         }

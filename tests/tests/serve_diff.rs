@@ -17,9 +17,7 @@ use std::sync::{Mutex, OnceLock};
 
 use ktg_common::fault::{self, FaultConfig, FaultSite};
 use ktg_common::{SeededRng, VertexId};
-use ktg_core::serve::{
-    CachePolicy, ItemOutcome, OracleKind, ServeOptions, ServeSession, WorkloadItem,
-};
+use ktg_core::serve::{CachePolicy, ItemOutcome, ServeOptions, ServeSession, WorkloadItem};
 use ktg_core::{bb, dktg, verify, AttributedGraph, DktgQuery, Group, KtgQuery};
 use ktg_graph::{DynamicGraph, GraphFormat, GraphStore};
 use ktg_index::{persist, BfsOracle, NlrnlIndex};
@@ -274,14 +272,14 @@ fn superset_then_subsets_workload(net: &AttributedGraph, seed: u64) -> Vec<Workl
     items
 }
 
-/// The new serving axes — cache eviction policy, keyword-subset floor
-/// seeding, and the PLL distance oracle — are pure amortizations: every
-/// combination, across thread counts and an epoch-crossing update, is
-/// byte-identical to the query-at-a-time reference. Debug builds audit
-/// every answer in checked mode, so a subset-seeded solve that somehow
-/// mis-projected a coverage mask would fail here, not just diverge.
+/// The serving axes — cache eviction policy and keyword-subset floor
+/// seeding — are pure amortizations: every combination, across thread
+/// counts and an epoch-crossing update, is byte-identical to the
+/// query-at-a-time reference. Debug builds audit every answer in checked
+/// mode, so a subset-seeded solve that somehow mis-projected a coverage
+/// mask would fail here, not just diverge.
 #[test]
-fn cache_policy_subset_reuse_and_oracle_axes_match_reference() {
+fn cache_policy_and_subset_reuse_axes_match_reference() {
     let mut rng = SeededRng::seed_from_u64(0xCA5E);
     let mut subset_seeded = false;
     for case in 0..3 {
@@ -292,33 +290,22 @@ fn cache_policy_subset_reuse_and_oracle_axes_match_reference() {
         let expected = reference_replay(&net, &workload);
         for cache_policy in [CachePolicy::Fifo, CachePolicy::Cost] {
             for subset_reuse in [true, false] {
-                for oracle in [OracleKind::Nlrnl, OracleKind::Pll] {
-                    for threads in [1usize, 4] {
-                        let options = ServeOptions {
-                            threads,
-                            cache_policy,
-                            subset_reuse,
-                            oracle,
-                            ..ServeOptions::default()
-                        };
-                        let mut session = ServeSession::new(net.clone(), options);
-                        let outcomes = session.run(&workload);
-                        assert_eq!(
-                            expected,
-                            strip(&outcomes),
-                            "case {case}: policy={cache_policy:?}, \
-                             subset_reuse={subset_reuse}, oracle={oracle:?}, \
-                             threads={threads} diverged from the reference"
-                        );
-                        let stats = session.stats();
-                        if subset_reuse {
-                            subset_seeded |= stats.subset_hits > 0;
-                        } else {
-                            assert_eq!(stats.subset_hits, 0, "reuse off but seeded");
-                        }
-                        if oracle == OracleKind::Pll {
-                            assert_eq!(stats.row_hits, 0, "PLL mode bypasses the row memo");
-                        }
+                for threads in [1usize, 4] {
+                    let options =
+                        ServeOptions { threads, cache_policy, subset_reuse, ..ServeOptions::default() };
+                    let mut session = ServeSession::new(net.clone(), options);
+                    let outcomes = session.run(&workload);
+                    assert_eq!(
+                        expected,
+                        strip(&outcomes),
+                        "case {case}: policy={cache_policy:?}, subset_reuse={subset_reuse}, \
+                         threads={threads} diverged from the reference"
+                    );
+                    let stats = session.stats();
+                    if subset_reuse {
+                        subset_seeded |= stats.subset_hits > 0;
+                    } else {
+                        assert_eq!(stats.subset_hits, 0, "reuse off but seeded");
                     }
                 }
             }
@@ -354,6 +341,75 @@ fn repeated_identical_workload_is_fully_cached_second_time() {
         ItemOutcome::Update { .. } => true,
         ItemOutcome::Failed { .. } | ItemOutcome::Overloaded => false,
     }));
+}
+
+/// Whole-rendering axis: the complete `ktg batch` output — answer
+/// lines, `[cached]` markers, update reports and the `served:` summary —
+/// is a function of the workload and the options alone. Each thread
+/// count runs several times, so a counter that follows worker timing
+/// (racing duplicate row-memo misses, superset probes that see or miss
+/// a concurrently inserted entry) shows up as a diff. Only the `batch:`
+/// header, which names the thread count, is excluded.
+#[test]
+fn batch_rendering_is_identical_across_thread_counts_and_runs() {
+    let _guard = fault_lock().lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("ktg-serve-diff-render-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let run = |argv: &[&str]| -> String {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        let mut out = Vec::new();
+        ktg_cli::run(&argv, &mut out).expect("ktg run");
+        String::from_utf8(out).expect("utf8 output")
+    };
+    let data = dir.to_str().expect("utf8 path");
+    run(&["generate", "--profile", "brightkite", "--scale", "400", "--seed", "9", "--out", data]);
+
+    // Overlapping keyword sets share candidates (and so conflict rows)
+    // across concurrently solved queries; supersets precede their
+    // subsets within a run; repeats and permutations coalesce; the
+    // update splits the workload into two runs over different epochs.
+    let mut lines = Vec::new();
+    for (p, k) in [(2, 1), (3, 1), (3, 2)] {
+        lines.push(format!("ktg terms=t0,t1,t2,t3,t4 p={p} k={k} n=3"));
+        lines.push(format!("ktg terms=t0,t1,t2 p={p} k={k} n=3"));
+        lines.push(format!("ktg terms=t1,t3,t5 p={p} k={k} n=2"));
+        lines.push(format!("dktg terms=t0,t2,t4,t6 p={p} k={k} n=2 gamma=0.5"));
+        lines.push(format!("ktg terms=t2,t1,t0 p={p} k={k} n=3"));
+    }
+    let mut workload = lines.clone();
+    workload.push("insert 0 1".to_string());
+    workload.extend(lines.iter().rev().cloned());
+    workload.push("ktg terms=t0,t1,t2,t3,t4 p=2 k=1 n=3".to_string());
+    let workload_path = dir.join("workload.txt");
+    std::fs::write(&workload_path, workload.join("\n") + "\n").expect("write workload");
+
+    let edges = dir.join("edges.txt");
+    let keywords = dir.join("keywords.txt");
+    let render = |threads: &str| -> String {
+        let text = run(&[
+            "batch",
+            "--workload", workload_path.to_str().expect("utf8 path"),
+            "--edges", edges.to_str().expect("utf8 path"),
+            "--keywords", keywords.to_str().expect("utf8 path"),
+            "--threads", threads,
+        ]);
+        text.lines().filter(|l| !l.starts_with("batch: ")).map(|l| format!("{l}\n")).collect()
+    };
+    let reference = render("1");
+    assert!(reference.contains("[cached]"), "{reference}");
+    assert!(reference.contains("update: applied"), "{reference}");
+    assert!(reference.contains("served: "), "{reference}");
+    for threads in ["1", "2", "8"] {
+        for attempt in 0..3 {
+            assert_eq!(
+                reference,
+                render(threads),
+                "--threads {threads} (run {attempt}) rendered differently from --threads 1"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Fault-schedule axis: with deterministic injection armed — every

@@ -24,18 +24,6 @@ echo "== parallel differential gate (KTG_THREADS=4, checked mode) =="
 KTG_THREADS=4 KTG_VERIFY=1 cargo test -q --offline \
     -p ktg-integration-tests --test parallel_diff
 
-echo "== PLL oracle differential gate (PLL answers == BFS/NLRNL bytes, checked mode) =="
-# Runs inside parallel_diff/serve_diff too; the named invocation keeps
-# the gate visible and failing loudly on its own if the matrix shrinks.
-pll_out="$(KTG_THREADS=4 KTG_VERIFY=1 cargo test -q --offline \
-    -p ktg-integration-tests --test parallel_diff \
-    parallel_matches_sequential_with_pll_oracle 2>&1)"
-echo "$pll_out" | grep -q "1 passed" || {
-    echo "FAIL: PLL differential test did not run/pass:" >&2
-    echo "$pll_out" >&2
-    exit 1
-}
-
 echo "== serving differential gate (KTG_THREADS=4, checked mode) =="
 KTG_THREADS=4 KTG_VERIFY=1 cargo test -q --offline \
     -p ktg-integration-tests --test serve_diff
@@ -240,6 +228,25 @@ grep -q '^\[2\] dktg: ' "$tmp/kernel-bitmap.out" || {
 if ! cmp -s "$tmp/kernel-bitmap.out" "$tmp/kernel-oracle.out"; then
     echo "FAIL: bitmap-kernel answers diverged from the oracle-probing run:" >&2
     diff "$tmp/kernel-bitmap.out" "$tmp/kernel-oracle.out" >&2 || true
+    exit 1
+fi
+
+echo "== thread determinism smoke (whole batch rendering, served: included, threads 1 == 2) =="
+# Every byte `ktg batch` prints is a function of the workload and the
+# options: the kernel smoke's workload at one and two worker threads
+# must render identically, [cached] markers and the served: summary
+# included. Only the batch: header names the thread count.
+for threads in 1 2; do
+    cargo run -q --release --offline -p ktg-cli -- batch "${kernel_flags[@]}" \
+        --threads "$threads" | grep -v '^batch: ' > "$tmp/threads-$threads.out"
+done
+grep -q '^served: ' "$tmp/threads-1.out" || {
+    echo "FAIL: thread determinism smoke rendered no served: line" >&2
+    exit 1
+}
+if ! cmp -s "$tmp/threads-1.out" "$tmp/threads-2.out"; then
+    echo "FAIL: batch rendering differs between --threads 1 and --threads 2:" >&2
+    diff "$tmp/threads-1.out" "$tmp/threads-2.out" >&2 || true
     exit 1
 fi
 
